@@ -48,13 +48,11 @@ bench:
 micro:
 	$(GO) run ./cmd/anaheim-bench -micro -membw -o BENCH_BASELINE.json
 	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 3s \
-		-batch both -merge BENCH_BASELINE.json -o /dev/null
+		-merge BENCH_BASELINE.json -o /dev/null
 
-# Many-tenant serving load driver with the batching gate: batching-on must
-# beat batching-off throughput without regressing latency-tier p99 >10%.
+# Many-tenant serving load driver: aggregate throughput and per-tier p50/p99.
 load:
-	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s \
-		-batch both -gate
+	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s
 
 # Fuzz smoke: 10s per untrusted-input decoder, plus the asm-vs-Go kernel
 # cross-check (CI runs the same). All legs honor TAGS, so `make fuzz

@@ -21,10 +21,8 @@ import (
 
 // Synthetic many-tenant load driver for the serving runtime: N tenant
 // sessions submit closed-loop job streams from a workload mix, cycling
-// through the priority tiers, against one engine. Run once with batching
-// off and once with a batching window to measure what cross-session batch
-// dispatch buys (aggregate throughput) and what it must not cost
-// (latency-tier tail latency).
+// through the priority tiers, against one engine, and the run reports
+// aggregate op throughput and per-tier latency.
 
 // loadTierStats is one tier's latency/throughput summary within a run.
 type loadTierStats struct {
@@ -35,30 +33,25 @@ type loadTierStats struct {
 	P99Ms    float64 `json:"p99Ms"`
 }
 
-// loadRun is one engine configuration's measured behavior under the load.
+// loadRun is the engine's measured behavior under the load.
 type loadRun struct {
-	Batching            bool                      `json:"batching"`
-	BatchWindowMs       float64                   `json:"batchWindowMs"`
 	DurationSec         float64                   `json:"durationSec"`
 	JobsDone            int                       `json:"jobsDone"`
 	OpsDone             int                       `json:"opsDone"`
 	Rejected            int                       `json:"rejected"`
 	ThroughputOpsPerSec float64                   `json:"throughputOpsPerSec"`
-	BatchesDispatched   float64                   `json:"batchesDispatched"`
-	BatchedOps          float64                   `json:"batchedOps"`
-	MeanBatchOccupancy  float64                   `json:"meanBatchOccupancy"`
 	Tiers               map[string]*loadTierStats `json:"tiers"`
 }
 
 // loadReport is the -tenants JSON artifact (also attached to the micro
 // report as the "serving" field when both are produced into one file).
 type loadReport struct {
-	GoVersion string    `json:"goVersion"`
-	NumCPU    int       `json:"numCpu"`
-	Tenants   int       `json:"tenants"`
-	Mix       []string  `json:"mix"`
-	Params    string    `json:"params"`
-	Runs      []loadRun `json:"runs"`
+	GoVersion string   `json:"goVersion"`
+	NumCPU    int      `json:"numCpu"`
+	Tenants   int      `json:"tenants"`
+	Mix       []string `json:"mix"`
+	Params    string   `json:"params"`
+	Run       loadRun  `json:"run"`
 }
 
 // loadTenant is one synthetic tenant: its session, tier, workload spec
@@ -143,8 +136,7 @@ func buildLoadTenants(e *anaheim.Engine, client, bootClient *anaheim.Context,
 		switch kind {
 		case "logreg":
 			// Depth-3 inference fragment: dot-product step, square
-			// activation, scale — the mul/square ops land in the ks-relin
-			// kernel class, the mulconst in eltwise.
+			// activation, scale.
 			t.spec = anaheim.JobSpec{
 				SessionID: sess.ID,
 				Inputs:    map[string]*anaheim.Ciphertext{"x": ctX, "w": ctW},
@@ -235,17 +227,15 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// runOneLoad executes the tenant fleet against one engine configuration and
+// runOneLoad executes the tenant fleet against a fresh engine and
 // summarizes it.
 func runOneLoad(client, bootClient *anaheim.Context, lt *anaheim.LinearTransform,
-	kinds []string, tenants int, duration, window time.Duration) (loadRun, error) {
+	kinds []string, tenants int, duration time.Duration) (loadRun, error) {
 
-	reg := obs.NewRegistry()
 	e := anaheim.NewEngine(anaheim.EngineConfig{
 		MaxActiveJobs:    4 * tenants, // backpressure reachable but not the bottleneck
 		MaxJobsPerTenant: 4,
-		BatchWindow:      window,
-		Obs:              reg,
+		Obs:              obs.NewRegistry(),
 	})
 	defer e.Close()
 
@@ -258,10 +248,8 @@ func runOneLoad(client, bootClient *anaheim.Context, lt *anaheim.LinearTransform
 	elapsed := time.Since(start).Seconds()
 
 	run := loadRun{
-		Batching:      window > 0,
-		BatchWindowMs: float64(window.Microseconds()) / 1e3,
-		DurationSec:   elapsed,
-		Tiers:         make(map[string]*loadTierStats),
+		DurationSec: elapsed,
+		Tiers:       make(map[string]*loadTierStats),
 	}
 	perTier := make(map[string][]float64)
 	for _, t := range fleet {
@@ -286,43 +274,19 @@ func runOneLoad(client, bootClient *anaheim.Context, lt *anaheim.LinearTransform
 	if elapsed > 0 {
 		run.ThroughputOpsPerSec = float64(run.OpsDone) / elapsed
 	}
-	snap := reg.Snapshot()
-	run.BatchesDispatched = snap.Counters["engine_batches_dispatched_total"]
-	run.BatchedOps = snap.Counters["engine_batched_ops_total"]
-	if run.BatchesDispatched > 0 {
-		run.MeanBatchOccupancy = run.BatchedOps / run.BatchesDispatched
-	}
 	return run, nil
 }
 
-// runLoad is the -tenants entry point. batchMode selects which engine
-// configurations run: "off", "on", or "both" (off first, then on — the
-// order the gate compares). gate enforces the batching win: with "both",
-// batching-on must beat batching-off on aggregate op throughput without
-// regressing latency-tier p99 by more than 10%; violations exit via the
-// returned gateErr so main can use the soft-failure exit code.
-func runLoad(out io.Writer, tenants int, mix string, duration, window time.Duration,
-	batchMode string, gate bool) (rep *loadReport, gateErr error, err error) {
-
+// runLoad is the -tenants entry point: it runs the tenant fleet once and
+// writes the JSON report to out.
+func runLoad(out io.Writer, tenants int, mix string, duration time.Duration) (*loadReport, error) {
 	kinds, err := parseMix(mix)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var windows []time.Duration
-	switch batchMode {
-	case "off":
-		windows = []time.Duration{0}
-	case "on":
-		windows = []time.Duration{window}
-	case "both":
-		windows = []time.Duration{0, window}
-	default:
-		return nil, nil, fmt.Errorf("anaheim-bench: -batch must be off, on, or both (got %q)", batchMode)
-	}
-
 	client, err := anaheim.NewContext(anaheim.TestParameters(), 41)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Rotation keys for rotate(1) plus the load transform's diagonals.
 	diags := make(map[int][]complex128)
@@ -341,56 +305,41 @@ func runLoad(out io.Writer, tenants int, mix string, duration, window time.Durat
 		if k == "bootstrap" {
 			bootClient, err = anaheim.NewContext(anaheim.BootParameters(), 43)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if err := bootClient.SetupBootstrapping(anaheim.DefaultBootstrapConfig()); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			break
 		}
 	}
 
-	rep = &loadReport{
+	run, err := runOneLoad(client, bootClient, lt, kinds, tenants, duration)
+	if err != nil {
+		return nil, err
+	}
+	rep := &loadReport{
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 		Tenants:   tenants,
 		Mix:       kinds,
 		Params:    fmt.Sprintf("logN=%d levels=%d (test preset)", client.Params.LogN(), client.Params.MaxLevel()+1),
+		Run:       run,
 	}
-	for _, w := range windows {
-		run, err := runOneLoad(client, bootClient, lt, kinds, tenants, duration, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Runs = append(rep.Runs, run)
-		fmt.Fprintf(os.Stderr, "load: batching=%v %d tenants %.1fs: %.0f ops/s, %d jobs, %d rejected, occupancy %.2f\n",
-			run.Batching, tenants, run.DurationSec, run.ThroughputOpsPerSec, run.JobsDone, run.Rejected, run.MeanBatchOccupancy)
-		for _, tier := range loadTiers {
-			if ts := run.Tiers[tier]; ts != nil {
-				fmt.Fprintf(os.Stderr, "load:   %-8s p50 %7.2fms  p99 %7.2fms  (%d jobs)\n", tier, ts.P50Ms, ts.P99Ms, ts.Jobs)
-			}
+	fmt.Fprintf(os.Stderr, "load: %d tenants %.1fs: %.0f ops/s, %d jobs, %d rejected\n",
+		tenants, run.DurationSec, run.ThroughputOpsPerSec, run.JobsDone, run.Rejected)
+	for _, tier := range loadTiers {
+		if ts := run.Tiers[tier]; ts != nil {
+			fmt.Fprintf(os.Stderr, "load:   %-8s p50 %7.2fms  p99 %7.2fms  (%d jobs)\n", tier, ts.P50Ms, ts.P99Ms, ts.Jobs)
 		}
 	}
 
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	if gate && batchMode == "both" && len(rep.Runs) == 2 {
-		off, on := rep.Runs[0], rep.Runs[1]
-		if on.ThroughputOpsPerSec <= off.ThroughputOpsPerSec {
-			gateErr = fmt.Errorf("load gate: batching-on throughput %.0f ops/s does not beat batching-off %.0f ops/s",
-				on.ThroughputOpsPerSec, off.ThroughputOpsPerSec)
-		}
-		offLat, onLat := off.Tiers[engine.TierLatency], on.Tiers[engine.TierLatency]
-		if offLat != nil && onLat != nil && offLat.P99Ms > 0 && onLat.P99Ms > offLat.P99Ms*1.10 {
-			gateErr = errors.Join(gateErr,
-				fmt.Errorf("load gate: latency-tier p99 regressed %.2fms -> %.2fms (>10%%)", offLat.P99Ms, onLat.P99Ms))
-		}
-	}
-	return rep, gateErr, nil
+	return rep, nil
 }
 
 // mergeServing attaches a load report to an existing -micro JSON artifact

@@ -30,53 +30,39 @@ func TestPercentile(t *testing.T) {
 }
 
 // TestLoadSmoke drives the many-tenant load driver end to end at a small
-// scale: both engine configurations run, every tier completes jobs, and the
-// report has the shape BENCH_BASELINE.json records.
+// scale: every tier completes jobs, and the report has the shape
+// BENCH_BASELINE.json records.
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load driver is slow")
 	}
-	// A single workload kind with three tenants per tier guarantees
-	// same-kernel-class overlap, and a wide window keeps batch formation
-	// deterministic even under -race slowdown.
 	var sb strings.Builder
-	repPtr, gateErr, err := runLoad(&sb, 9, "logreg", time.Second, 20*time.Millisecond, "both", false)
+	repPtr, err := runLoad(&sb, 9, "logreg", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repPtr == nil {
 		t.Fatal("runLoad returned nil report")
 	}
-	if gateErr != nil {
-		t.Fatalf("gate disabled but gateErr = %v", gateErr)
-	}
 	var rep loadReport
 	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
 	}
-	if rep.Tenants != 9 || len(rep.Runs) != 2 {
-		t.Fatalf("report shape: tenants=%d runs=%d", rep.Tenants, len(rep.Runs))
+	if rep.Tenants != 9 || len(rep.Mix) != 1 {
+		t.Fatalf("report shape: tenants=%d mix=%v", rep.Tenants, rep.Mix)
 	}
-	if rep.Runs[0].Batching || !rep.Runs[1].Batching {
-		t.Fatalf("-batch both must run off then on: %+v", rep.Runs)
+	run := rep.Run
+	if run.JobsDone == 0 || run.OpsDone == 0 || run.ThroughputOpsPerSec <= 0 {
+		t.Errorf("run did no work: %+v", run)
 	}
-	for i, run := range rep.Runs {
-		if run.JobsDone == 0 || run.OpsDone == 0 || run.ThroughputOpsPerSec <= 0 {
-			t.Errorf("run %d did no work: %+v", i, run)
+	for _, tier := range loadTiers {
+		ts := run.Tiers[tier]
+		if ts == nil || ts.Jobs == 0 {
+			t.Errorf("tier %s has no completed jobs", tier)
+			continue
 		}
-		for _, tier := range loadTiers {
-			ts := run.Tiers[tier]
-			if ts == nil || ts.Jobs == 0 {
-				t.Errorf("run %d tier %s has no completed jobs", i, tier)
-				continue
-			}
-			if ts.P99Ms < ts.P50Ms || ts.P50Ms <= 0 {
-				t.Errorf("run %d tier %s: implausible latency p50=%v p99=%v", i, tier, ts.P50Ms, ts.P99Ms)
-			}
+		if ts.P99Ms < ts.P50Ms || ts.P50Ms <= 0 {
+			t.Errorf("tier %s: implausible latency p50=%v p99=%v", tier, ts.P50Ms, ts.P99Ms)
 		}
-	}
-	// The batching-on run must actually fuse something at 6 tenants.
-	if rep.Runs[1].BatchesDispatched == 0 || rep.Runs[1].MeanBatchOccupancy < 1 {
-		t.Errorf("batching-on run dispatched no fused groups: %+v", rep.Runs[1])
 	}
 }

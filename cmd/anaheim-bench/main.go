@@ -12,14 +12,12 @@
 //	anaheim-bench -compare BENCH_BASELINE.json -against new.json   # perf regression gate
 //	anaheim-bench -tiertable new.json             # per-kernel-tier rows as markdown
 //	anaheim-bench -lttable new.json               # lintrans BSGS-vs-per-diagonal rows as markdown
-//	anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s -batch both
+//	anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s
 //	                                              # many-tenant serving load driver:
-//	                                              # per-tier p50/p99, batch occupancy,
-//	                                              # batching-on vs batching-off
-//	anaheim-bench -tenants 8 -batch both -gate -merge BENCH_BASELINE.json
-//	                                              # ...enforce the batching win and
-//	                                              # record it as the baseline's
-//	                                              # .serving field
+//	                                              # throughput, per-tier p50/p99
+//	anaheim-bench -tenants 8 -merge BENCH_BASELINE.json
+//	                                              # ...and record it as the
+//	                                              # baseline's .serving field
 package main
 
 import (
@@ -48,10 +46,7 @@ func main() {
 	tolerance := flag.Float64("tolerance", 25, "percent ns/op slowdown tolerated by -compare")
 	tenants := flag.Int("tenants", 0, "run the many-tenant serving load driver with N tenant sessions")
 	mix := flag.String("mix", "logreg,lintrans", "comma-separated workload mix for -tenants: logreg,lintrans,bootstrap")
-	duration := flag.Duration("duration", 5*time.Second, "per-configuration wall clock for -tenants")
-	batchWindow := flag.Duration("batchwindow", time.Millisecond, "staging window for the batching-on -tenants runs")
-	batchMode := flag.String("batch", "both", "engine configurations for -tenants: off|on|both")
-	gate := flag.Bool("gate", false, "with -tenants -batch both: fail (exit 3) unless batching-on beats batching-off without latency-tier p99 regression")
+	duration := flag.Duration("duration", 5*time.Second, "wall clock for -tenants")
 	mergeInto := flag.String("merge", "", "with -tenants: also attach the load report as the .serving field of an existing -micro JSON file")
 	flag.Parse()
 
@@ -74,7 +69,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		rep, gateErr, err := runLoad(out, *tenants, *mix, *duration, *batchWindow, *batchMode, *gate)
+		rep, err := runLoad(out, *tenants, *mix, *duration)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -84,10 +79,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-		}
-		if gateErr != nil {
-			fmt.Fprintln(os.Stderr, gateErr)
-			os.Exit(3) // soft failure, same convention as -compare
 		}
 	case *tierTable != "":
 		if err := runTierTable(os.Stdout, *tierTable); err != nil {

@@ -44,17 +44,15 @@ import (
 )
 
 type serveConfig struct {
-	addr        string
-	pprofAddr   string
-	workers     int
-	queue       int
-	maxJobs     int
-	maxBody     int64
-	deadline    time.Duration
-	batchWindow time.Duration
-	maxBatch    int
-	cacheBytes  int64
-	tenantJobs  int
+	addr       string
+	pprofAddr  string
+	workers    int
+	queue      int
+	maxJobs    int
+	maxBody    int64
+	deadline   time.Duration
+	cacheBytes int64
+	tenantJobs int
 }
 
 func parseFlags(args []string) (serveConfig, error) {
@@ -67,8 +65,6 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.IntVar(&cfg.maxJobs, "maxjobs", 0, "max in-flight jobs before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxBody, "maxbody", 0, "max request body bytes before 413 (0 = 64MiB)")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "default per-job deadline (0 = engine default)")
-	fs.DurationVar(&cfg.batchWindow, "batchwindow", 0, "cross-session batch staging window (0 = batching off)")
-	fs.IntVar(&cfg.maxBatch, "maxbatch", 0, "max ops per fused dispatch group (0 = default 8)")
 	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "eval-key cache byte budget; LRU sessions evicted beyond it (0 = 1GiB)")
 	fs.IntVar(&cfg.tenantJobs, "tenantjobs", 0, "max in-flight jobs per session before 429 (0 = default 16)")
 	if err := fs.Parse(args); err != nil {
@@ -113,8 +109,6 @@ func run(ctx context.Context, cfg serveConfig, ready chan<- string) error {
 		MaxActiveJobs:     cfg.maxJobs,
 		MaxBodyBytes:      cfg.maxBody,
 		DefaultDeadline:   cfg.deadline,
-		BatchWindow:       cfg.batchWindow,
-		MaxBatch:          cfg.maxBatch,
 		SessionCacheBytes: cfg.cacheBytes,
 		MaxJobsPerTenant:  cfg.tenantJobs,
 	})

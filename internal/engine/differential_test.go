@@ -175,6 +175,31 @@ func genDAG(r *rand.Rand, params *ckks.Parameters, nOps int) diffDAG {
 	return dag
 }
 
+// evalDirect walks ops (in topological order) through Session.evalOp, with
+// no scheduler and no admission rewrite, and returns every value by name.
+func evalDirect(t *testing.T, sess *Session, inputs map[string]*ckks.Ciphertext, ops []OpSpec) map[string]*ckks.Ciphertext {
+	t.Helper()
+	vals := make(map[string]*ckks.Ciphertext, len(ops)+len(inputs))
+	for id, ct := range inputs {
+		vals[id] = ct
+	}
+	arg := func(name string) (*ckks.Ciphertext, error) {
+		ct, ok := vals[name]
+		if !ok {
+			return nil, fmt.Errorf("unresolved arg %q", name)
+		}
+		return ct, nil
+	}
+	for i := range ops {
+		out, err := sess.evalOp(&ops[i], arg)
+		if err != nil {
+			t.Fatalf("direct eval of %s (%s): %v", ops[i].ID, ops[i].Op, err)
+		}
+		vals[ops[i].ID] = out
+	}
+	return vals
+}
+
 func TestDifferentialSchedulerVsEvaluator(t *testing.T) {
 	client := newTestClient(t, 1, 2, 3)
 	e := New(Config{Workers: 4})
@@ -222,25 +247,8 @@ func TestDifferentialSchedulerVsEvaluator(t *testing.T) {
 			}
 
 			// Path 2: sequential walk over the same op semantics, no
-			// scheduler involved. Ops are generated in topological order.
-			direct := make(map[string]*ckks.Ciphertext, len(dag.ops)+len(cts))
-			for id, ct := range cts {
-				direct[id] = ct
-			}
-			arg := func(name string) (*ckks.Ciphertext, error) {
-				ct, ok := direct[name]
-				if !ok {
-					return nil, fmt.Errorf("unresolved arg %q", name)
-				}
-				return ct, nil
-			}
-			for i := range dag.ops {
-				out, err := sess.evalOp(&dag.ops[i], arg)
-				if err != nil {
-					t.Fatalf("direct eval of %s (%s): %v", dag.ops[i].ID, dag.ops[i].Op, err)
-				}
-				direct[dag.ops[i].ID] = out
-			}
+			// scheduler involved.
+			direct := evalDirect(t, sess, cts, dag.ops)
 
 			slots := client.params.Slots()
 			for _, op := range dag.ops {

@@ -9,17 +9,15 @@
 //     behaves like a cache, not a map;
 //
 //   - a job scheduler: clients submit encrypted-compute jobs — DAGs of
-//     homomorphic ops over named ciphertext handles — and the scheduler
-//     tracks dependencies, dispatching each op as soon as its inputs exist;
-//
-//   - cross-session batch dispatch: ready ops from different tenants that
-//     share a kernel class (op family × ring degree × level) are staged for
-//     a short window and dispatched to the worker pool as one group — the
-//     Go-worker-pool analog of the paper's Alg 1 / PolyGroups amortization
-//     (see batch.go);
+//     homomorphic ops over named ciphertext handles — which are rewritten
+//     once at admission (add ladders and constant linear combinations fold
+//     into fused ops, see rewrite.go); the scheduler then tracks
+//     dependencies and hands each op to a worker as soon as its inputs
+//     exist;
 //
 //   - admission control: weighted priority tiers (latency | standard |
-//     batch) with per-tier capacity shares and per-tenant in-flight limits,
+//     batch) with per-tier capacity shares, per-tier ready queues drained by
+//     weighted round-robin (see tier.go), and per-tenant in-flight limits,
 //     shedding load with typed OverloadErrors that the HTTP layer maps to
 //     429 + Retry-After.
 //
@@ -39,7 +37,6 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/keycache"
 	"github.com/anaheim-sim/anaheim/internal/obs"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // Config sizes the runtime.
@@ -60,13 +57,6 @@ type Config struct {
 	// ready-queue dispatch bandwidth. Defaults to latency 8, standard 4,
 	// batch 2. Unknown tiers in the map are ignored.
 	TierWeights map[string]int
-	// BatchWindow enables cross-session batch dispatch: ready ops of the
-	// same kernel class are staged up to this long (or until MaxBatch) and
-	// dispatched as one group. 0 disables batching. Latency-tier ops are
-	// never staged.
-	BatchWindow time.Duration
-	// MaxBatch caps the ops in one batched dispatch group. Defaults to 8.
-	MaxBatch int
 	// SessionCacheBytes bounds the resident evaluation-key bytes across all
 	// sessions; least-recently-used sessions are evicted beyond it (pinned
 	// sessions of in-flight jobs are never evicted). Defaults to 1 GiB.
@@ -85,10 +75,6 @@ type Config struct {
 	// oversized POSTs get 413 instead of OOMing the server. Defaults to
 	// 64 MiB (evaluation-key uploads are the largest legitimate payloads).
 	MaxBodyBytes int64
-	// DisableFusion turns off the admission-time op-DAG rewrite (add-ladder
-	// and linear-combination folding); jobs then execute exactly the ops
-	// they were submitted with.
-	DisableFusion bool
 	// Obs receives the engine's metrics (counters, gauges, latency
 	// histograms). Defaults to obs.Default.
 	Obs *obs.Registry
@@ -116,9 +102,6 @@ func (c Config) withDefaults() Config {
 		if c.TierWeights[t] <= 0 {
 			c.TierWeights[t] = 1
 		}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
 	}
 	if c.SessionCacheBytes <= 0 {
 		c.SessionCacheBytes = 1 << 30
@@ -173,7 +156,7 @@ type Engine struct {
 	tracer  *obs.Tracer
 
 	events chan event
-	ready  chan *dispatchGroup
+	ready  chan *opTask
 	wg     sync.WaitGroup
 }
 
@@ -234,7 +217,7 @@ func New(cfg Config) *Engine {
 		metrics:      newEngineMetrics(cfg.Obs),
 		tracer:       cfg.Tracer,
 		events:       make(chan event),
-		ready:        make(chan *dispatchGroup, cfg.QueueSize),
+		ready:        make(chan *opTask, cfg.QueueSize),
 	}
 	e.sessions = keycache.New[*Session](keycache.Config{
 		Shards:      cfg.SessionCacheShards,
@@ -303,46 +286,11 @@ func (e *Engine) worker() {
 		select {
 		case <-e.ctx.Done():
 			return
-		case g := <-e.ready:
-			if len(g.tasks) == 1 {
-				e.runSingle(g.tasks[0])
-			} else {
-				e.runBatch(g)
-			}
-		}
-	}
-}
-
-// runSingle executes an unbatched op and reports its completion.
-func (e *Engine) runSingle(t *opTask) {
-	e.metrics.workersBusy.Add(1)
-	res, err := e.runTask(t, t.job.spanID())
-	e.metrics.workersBusy.Add(-1)
-	e.postDone(t, res, err)
-}
-
-// runBatch executes a fused dispatch group: the members fan out over the
-// shared par pool together (one wide dispatch instead of len(tasks) narrow
-// ones), sharing the batch span and a single scheduler round-trip. Per-op
-// metrics still tick individually.
-func (e *Engine) runBatch(g *dispatchGroup) {
-	n := len(g.tasks)
-	e.metrics.batchesDispatched.Inc()
-	e.metrics.batchedOps.Add(float64(n))
-	e.metrics.batchOccupancy.Observe(float64(n))
-	sp := e.tracer.Start("batch:"+g.class, 0)
-	sp.Annotate(fmt.Sprintf("class=%s ops=%d", g.class, n))
-	e.metrics.workersBusy.Add(1)
-	results := make([]*result, n)
-	errs := make([]error, n)
-	par.ForEach(n, func(i int) {
-		results[i], errs[i] = e.runTask(g.tasks[i], sp.ID())
-	})
-	e.metrics.workersBusy.Add(-1)
-	sp.End()
-	for i, t := range g.tasks {
-		if !e.postDone(t, results[i], errs[i]) {
-			return
+		case t := <-e.ready:
+			e.metrics.workersBusy.Add(1)
+			res, err := e.runTask(t)
+			e.metrics.workersBusy.Add(-1)
+			e.postDone(t, res, err)
 		}
 	}
 }
@@ -350,14 +298,14 @@ func (e *Engine) runBatch(g *dispatchGroup) {
 // runTask runs one op with its per-op instrumentation. Ops of jobs that
 // already expired or aborted are skipped without touching the evaluator
 // (counted under engine_ops_expired_total).
-func (e *Engine) runTask(t *opTask, parentSpan uint64) (*result, error) {
+func (e *Engine) runTask(t *opTask) (*result, error) {
 	if err := t.job.ctx.Err(); err != nil {
 		e.metrics.opsExpired.Inc()
 		return nil, err
 	}
 	m := e.metrics.op(t.op.Op)
 	m.queueWait.Observe(time.Since(t.readyAt).Seconds())
-	sp := e.tracer.Start("op:"+t.op.Op, parentSpan)
+	sp := e.tracer.Start("op:"+t.op.Op, t.job.spanID())
 	sp.Annotate("id=" + t.op.ID + " job=" + t.job.ID)
 	start := time.Now()
 	res, err := e.executeTask(t)
@@ -370,14 +318,12 @@ func (e *Engine) runTask(t *opTask, parentSpan uint64) (*result, error) {
 	return res, err
 }
 
-// postDone reports one op completion to the dispatcher; false means the
+// postDone reports one op completion to the dispatcher, giving up if the
 // engine is shutting down.
-func (e *Engine) postDone(t *opTask, res *result, err error) bool {
+func (e *Engine) postDone(t *opTask, res *result, err error) {
 	select {
 	case e.events <- event{kind: evOpDone, job: t.job, task: t, result: res, err: err}:
-		return true
 	case <-e.ctx.Done():
-		return false
 	}
 }
 
@@ -410,22 +356,9 @@ func (e *Engine) dispatch() {
 	defer e.wg.Done()
 	states := make(map[*Job]*jobState)
 	queues := newTierQueues(e.cfg.TierWeights, e.tierDepth)
-	staged := newStaging(e.cfg.BatchWindow, e.cfg.MaxBatch)
-	flushTimer := time.NewTimer(time.Hour)
-	defer flushTimer.Stop()
 
 	enqueueReady := func(j *Job, st *jobState, opID string) {
-		t := &opTask{job: j, op: st.byID[opID], readyAt: time.Now()}
-		e.tierDepth[j.tier].Add(1)
-		if e.cfg.BatchWindow > 0 {
-			if class, ok := e.batchClass(j, t.op); ok {
-				if g := staged.add(class, j.tier, t, t.readyAt); g != nil {
-					queues.push(g) // batch filled before its window expired
-				}
-				return
-			}
-		}
-		queues.push(&dispatchGroup{tasks: []*opTask{t}, tier: j.tier})
+		queues.push(&opTask{job: j, op: st.byID[opID], readyAt: time.Now()})
 	}
 
 	handle := func(ev event) {
@@ -468,20 +401,7 @@ func (e *Engine) dispatch() {
 	}
 
 	for {
-		// Arm the flush timer to the earliest staged-batch deadline.
-		if !flushTimer.Stop() {
-			select {
-			case <-flushTimer.C:
-			default:
-			}
-		}
-		var timerCh <-chan time.Time
-		if due, ok := staged.earliest(); ok {
-			flushTimer.Reset(time.Until(due))
-			timerCh = flushTimer.C
-		}
-
-		var readyCh chan *dispatchGroup
+		var readyCh chan *opTask
 		tier, head, ok := queues.head()
 		if ok {
 			readyCh = e.ready
@@ -499,12 +419,8 @@ func (e *Engine) dispatch() {
 			return
 		case ev := <-e.events:
 			handle(ev)
-		case <-timerCh:
-			for _, g := range staged.due(time.Now()) {
-				queues.push(g)
-			}
 		case readyCh <- head:
-			queues.pop(tier, head)
+			queues.pop(tier)
 		}
 	}
 }
@@ -549,26 +465,17 @@ func newJobState(spec *JobSpec) *jobState {
 		remaining:  len(spec.Ops),
 	}
 	for i := range spec.Ops {
-		op := &spec.Ops[i]
-		st.byID[op.ID] = op
+		st.byID[spec.Ops[i].ID] = &spec.Ops[i]
+	}
+	for _, op := range spec.Ops {
 		for _, a := range op.Args {
-			if _, isOp := opArg(spec, a); isOp {
+			if _, isOp := st.byID[a]; isOp {
 				st.waiting[op.ID]++
 				st.dependents[a] = append(st.dependents[a], op.ID)
 			}
 		}
 	}
 	return st
-}
-
-// opArg reports whether an argument name refers to an op (vs an input).
-func opArg(spec *JobSpec, name string) (*OpSpec, bool) {
-	for i := range spec.Ops {
-		if spec.Ops[i].ID == name {
-			return &spec.Ops[i], true
-		}
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------------
@@ -601,9 +508,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		unpin()
 		return nil, err
 	}
-	if !e.cfg.DisableFusion {
-		e.applyFusion(&spec)
-	}
+	e.applyFusion(&spec)
 
 	// Admission control (backpressure + tier shares + tenant caps).
 	e.mu.Lock()
@@ -704,29 +609,29 @@ func validate(spec *JobSpec) error {
 	if len(spec.Ops) == 0 {
 		return fmt.Errorf("engine: job has no ops")
 	}
-	names := make(map[string]bool, len(spec.Inputs)+len(spec.Ops))
+	isOp := make(map[string]bool, len(spec.Inputs)+len(spec.Ops)) // name -> names an op
 	for in := range spec.Inputs {
 		if in == "" {
 			return fmt.Errorf("engine: empty input name")
 		}
-		names[in] = true
+		isOp[in] = false
 	}
 	for i := range spec.Ops {
 		op := &spec.Ops[i]
 		if op.ID == "" {
 			return fmt.Errorf("engine: op %d has no id", i)
 		}
-		if names[op.ID] {
+		if _, dup := isOp[op.ID]; dup {
 			return fmt.Errorf("engine: duplicate name %q", op.ID)
 		}
-		names[op.ID] = true
+		isOp[op.ID] = true
 		if err := checkOp(op); err != nil {
 			return err
 		}
 	}
 	for i := range spec.Ops {
 		for _, a := range spec.Ops[i].Args {
-			if !names[a] {
+			if _, known := isOp[a]; !known {
 				return fmt.Errorf("engine: op %q references unknown name %q", spec.Ops[i].ID, a)
 			}
 		}
@@ -735,7 +640,7 @@ func validate(spec *JobSpec) error {
 		return fmt.Errorf("engine: job has no outputs")
 	}
 	for _, o := range spec.Outputs {
-		if _, isOp := opArg(spec, o); !isOp {
+		if !isOp[o] {
 			return fmt.Errorf("engine: output %q is not an op id", o)
 		}
 	}

@@ -170,6 +170,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestJobSetupScales guards Submit and the dispatcher against superlinear
+// job setup: validation and the dependency graph the dispatcher builds (on
+// its single goroutine, so a slow setup stalls every tenant) must resolve
+// each argument by lookup, not by scanning the op list.
+func TestJobSetupScales(t *testing.T) {
+	const n = 200_000
+	spec := JobSpec{Inputs: map[string]*ckks.Ciphertext{"x": nil}, Ops: make([]OpSpec, n)}
+	prev := "x"
+	for i := range spec.Ops {
+		id := fmt.Sprintf("r%d", i)
+		spec.Ops[i] = OpSpec{ID: id, Op: "rescale", Args: []string{prev}}
+		prev = id
+	}
+	spec.Outputs = []string{prev}
+
+	start := time.Now()
+	if err := validate(&spec); err != nil {
+		t.Fatal(err)
+	}
+	st := newJobState(&spec)
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("validating and building state for a %d-op chain took %v, want <= 10s", n, el)
+	}
+	if st.remaining != n || st.waiting["r0"] != 0 || st.waiting[prev] != 1 ||
+		len(st.dependents["r0"]) != 1 || st.dependents["r0"][0] != "r1" {
+		t.Fatalf("chain state wrong: remaining=%d waiting[r0]=%d dependents[r0]=%v",
+			st.remaining, st.waiting["r0"], st.dependents["r0"])
+	}
+}
+
 func TestBackpressure(t *testing.T) {
 	client := newTestClient(t)
 	e := New(Config{Workers: 1, MaxActiveJobs: 2})

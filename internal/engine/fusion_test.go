@@ -34,17 +34,19 @@ func runJob(t *testing.T, client *testClient, e *Engine, sess *Session, spec Job
 
 // TestFusionRewriteCrafted drives a DAG with a known foldable shape — a
 // three-term constant linear combination and a four-term add ladder —
-// through an engine with fusion on and one with it disabled, and demands
-// the outputs agree within CKKS precision. The fused engine's metrics must
-// show the rewrite fired; the unfused engine's must not.
+// through the engine, whose admission rewrite folds it, and demands the
+// outputs agree within CKKS precision with a sequential walk of the
+// submitted ops through the evaluator and with the plaintext model. The
+// engine's metrics must show the rewrite fired.
 func TestFusionRewriteCrafted(t *testing.T) {
 	client := newTestClient(t, 1)
-
-	regOn, regOff := obs.NewRegistry(), obs.NewRegistry()
-	eOn := New(Config{Workers: 2, Obs: regOn})
-	defer eOn.Close()
-	eOff := New(Config{Workers: 2, Obs: regOff, DisableFusion: true})
-	defer eOff.Close()
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 2, Obs: reg})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	consts := []float64{0.75, -0.5, 0.25}
 	ops := []OpSpec{
@@ -60,14 +62,17 @@ func TestFusionRewriteCrafted(t *testing.T) {
 	outputs := []string{"s1", "a2"}
 
 	slots := client.params.Slots()
-	vals := make(map[string][]complex128, 3)
 	r := rand.New(rand.NewSource(7))
+	vals := make(map[string][]complex128, 3)
+	cts := make(map[string]*ckks.Ciphertext, 3)
 	for i := 0; i < 3; i++ {
 		v := make([]complex128, slots)
 		for s := range v {
 			v[s] = complex(2*r.Float64()-1, 2*r.Float64()-1) / 2
 		}
-		vals[fmt.Sprintf("in%d", i)] = v
+		id := fmt.Sprintf("in%d", i)
+		vals[id] = v
+		cts[id] = client.encrypt(t, v)
 	}
 	want := map[string][]complex128{"s1": make([]complex128, slots), "a2": make([]complex128, slots)}
 	for s := 0; s < slots; s++ {
@@ -79,38 +84,23 @@ func TestFusionRewriteCrafted(t *testing.T) {
 		want["a2"][s] += vals["in0"][s]
 	}
 
-	run := func(e *Engine) map[string][]complex128 {
-		sess, err := e.AttachSession(client.params, client.keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts := make(map[string]*ckks.Ciphertext, len(vals))
-		for id, v := range vals {
-			cts[id] = client.encrypt(t, v)
-		}
-		specOps := make([]OpSpec, len(ops))
-		copy(specOps, ops)
-		return runJob(t, client, e, sess, JobSpec{
-			SessionID: sess.ID, Inputs: cts, Ops: specOps, Outputs: outputs,
-		})
-	}
-
-	fusedOut := run(eOn)
-	plainOut := run(eOff)
+	specOps := make([]OpSpec, len(ops))
+	copy(specOps, ops)
+	fusedOut := runJob(t, client, e, sess, JobSpec{
+		SessionID: sess.ID, Inputs: cts, Ops: specOps, Outputs: outputs,
+	})
+	direct := evalDirect(t, sess, cts, ops)
 	for _, id := range outputs {
 		// The lincomb rescales the accumulated sum where the chain rescales
 		// each term, so the rounding differs slightly; both must still track
 		// the exact unfused result far inside scheme precision.
-		checkSlots(t, fusedOut[id], plainOut[id], slots, 1e-3, id+" fused vs unfused engine")
-		checkSlots(t, fusedOut[id], want[id], slots, 1e-2, id+" fused vs plaintext model")
+		checkSlots(t, fusedOut[id], client.decrypt(direct[id]), slots, 1e-3, id+" fused engine vs direct")
+		checkSlots(t, fusedOut[id], want[id], slots, 1e-2, id+" fused engine vs plaintext model")
 	}
 
-	if got := regOn.Counter("engine_fusion_ops_eliminated_total").Value(); got < 5 {
+	if got := reg.Counter("engine_fusion_ops_eliminated_total").Value(); got < 5 {
 		// 3 mulconsts + s0 fold into s1; a0 + a1 fold into a2.
-		t.Errorf("fused engine eliminated %.0f ops, want >= 5", got)
-	}
-	if got := regOff.Counter("engine_fusion_ops_eliminated_total").Value(); got != 0 {
-		t.Errorf("DisableFusion engine still rewrote %.0f ops", got)
+		t.Errorf("engine eliminated %.0f ops, want >= 5", got)
 	}
 }
 
@@ -222,24 +212,7 @@ func TestDifferentialFusionRandomDAGs(t *testing.T) {
 			})
 
 			// Reference: sequential walk over the original, unrewritten ops.
-			direct := make(map[string]*ckks.Ciphertext, len(dag.ops)+len(cts))
-			for id, ct := range cts {
-				direct[id] = ct
-			}
-			arg := func(name string) (*ckks.Ciphertext, error) {
-				ct, ok := direct[name]
-				if !ok {
-					return nil, fmt.Errorf("unresolved arg %q", name)
-				}
-				return ct, nil
-			}
-			for i := range dag.ops {
-				out, err := sess.evalOp(&dag.ops[i], arg)
-				if err != nil {
-					t.Fatalf("direct eval of %s (%s): %v", dag.ops[i].ID, dag.ops[i].Op, err)
-				}
-				direct[dag.ops[i].ID] = out
-			}
+			direct := evalDirect(t, sess, cts, dag.ops)
 
 			for _, id := range outs {
 				ge := viaEngine[id]

@@ -67,8 +67,9 @@ type JobSpec struct {
 	// engine default.
 	Deadline time.Duration
 	// Tier is the priority tier ("latency", "standard", "batch"); empty
-	// means standard. Latency-tier ops bypass batch staging and dequeue
-	// first; the batch tier trades latency for amortized throughput.
+	// means standard. Each tier has its own admission share and ready
+	// queue; latency-tier ops get the largest dispatch weight, batch-tier
+	// ops the smallest.
 	Tier string
 }
 

@@ -26,8 +26,9 @@ type DAGStats struct {
 // sums whose operands are all single-use constant multiplies collapse into
 // one "lincomb" (ckks.MulConstAccum). Ops whose IDs appear in protected (job
 // outputs) are never absorbed, so every requested result keeps its identity.
-// The input is expected in topological order (the engine validates this) and
-// the output preserves it.
+// Op IDs must be unique (the engine validates this). The output keeps the
+// input's order; an add ladder folds only where each rung is listed before
+// the add that consumes it.
 func RewriteDAG(ops []Op, protected map[string]bool) ([]Op, []DAGStats) {
 	out, addStats := foldAddLadders(ops, protected)
 	out, lcStats := foldLinComb(out, protected)
@@ -51,26 +52,50 @@ func useCounts(ops []Op) map[string]int {
 // (AddMany checks the same scale compatibility pairwise adds would, and
 // truncates to the minimum level like a chain does), so flattening is
 // semantics-preserving.
+//
+// The pass is linear in the total argument count: it first marks which
+// add-like ops fold into their consumer, then expands each surviving sum's
+// arguments once. An absorbed op has exactly one use, so it is expanded
+// exactly once, inside the one sum that absorbs it.
 func foldAddLadders(ops []Op, protected map[string]bool) ([]Op, DAGStats) {
 	st := DAGStats{Pass: "add-ladder", OpsBefore: len(ops)}
 	uses := useCounts(ops)
-	flat := make(map[string][]string) // add-like op ID -> flattened arg list
+	addArgs := make(map[string][]string) // add-like op ID -> its args, for ops seen so far
 	absorbed := make(map[string]bool)
-
 	for _, op := range ops {
-		if op.Kind != "add" && op.Kind != "addn" {
+		if !isAddLike(op.Kind) {
 			continue
 		}
-		args := make([]string, 0, len(op.Args))
 		for _, a := range op.Args {
-			if f, ok := flat[a]; ok && uses[a] == 1 && !protected[a] {
-				args = append(args, f...)
+			if _, ok := addArgs[a]; ok && uses[a] == 1 && !protected[a] {
 				absorbed[a] = true
-			} else {
-				args = append(args, a)
 			}
 		}
-		flat[op.ID] = args
+		addArgs[op.ID] = op.Args
+	}
+
+	// expand flattens args depth-first in argument order, replacing every
+	// absorbed op by its own (expanded) args. The explicit stack keeps a
+	// long ladder from recursing once per rung.
+	var stack []string
+	expand := func(args []string) []string {
+		flat := make([]string, 0, len(args))
+		for i := len(args) - 1; i >= 0; i-- {
+			stack = append(stack, args[i])
+		}
+		for len(stack) > 0 {
+			a := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !absorbed[a] {
+				flat = append(flat, a)
+				continue
+			}
+			inner := addArgs[a]
+			for i := len(inner) - 1; i >= 0; i-- {
+				stack = append(stack, inner[i])
+			}
+		}
+		return flat
 	}
 
 	out := make([]Op, 0, len(ops))
@@ -79,15 +104,19 @@ func foldAddLadders(ops []Op, protected map[string]bool) ([]Op, DAGStats) {
 			st.Fused++
 			continue
 		}
-		if f, ok := flat[op.ID]; ok && len(f) > len(op.Args) {
-			op.Kind = "addn"
-			op.Args = f
+		if isAddLike(op.Kind) {
+			if f := expand(op.Args); len(f) > len(op.Args) {
+				op.Kind = "addn"
+				op.Args = f
+			}
 		}
 		out = append(out, op)
 	}
 	st.OpsAfter = len(out)
 	return out, st
 }
+
+func isAddLike(kind string) bool { return kind == "add" || kind == "addn" }
 
 // foldLinComb rewrites a sum whose operands are all single-use, unprotected
 // constant multiplies into one linear-combination op carrying the constants:
@@ -105,7 +134,7 @@ func foldLinComb(ops []Op, protected map[string]bool) ([]Op, DAGStats) {
 	absorbed := make(map[string]bool)
 	out := make([]Op, 0, len(ops))
 	for _, op := range ops {
-		if op.Kind == "add" || op.Kind == "addn" {
+		if isAddLike(op.Kind) {
 			terms := make([]*Op, 0, len(op.Args))
 			ok := true
 			for _, a := range op.Args {
